@@ -672,6 +672,10 @@ SimEngine::run_batch(std::span<const InputPacket> in,
     }
 
     ROBOSHAPE_OBS_RECORD("sim.lane_width", 1);
+    // Every packet the scalar path runs counts as scalar work, so the
+    // lane share (1 - tail / batch_packets) stays true for batches
+    // narrower than one lane group.
+    ROBOSHAPE_OBS_COUNT("sim.batch_tail_packets", in.size());
     core::Executor &exec = core::Executor::instance();
     const std::size_t workers = exec.resolve_width(in.size(), threads);
     while (ws.per_thread.size() < workers)

@@ -15,9 +15,17 @@ namespace net {
 
 namespace {
 
-/** Polls @p fd for @p events; true when ready before @p timeout_ms. */
-bool
-wait_ready(int fd, short events, int timeout_ms)
+/** Outcome of waiting for a descriptor. */
+enum class Wait
+{
+    kReady,
+    kTimedOut,
+    kFailed,
+};
+
+/** Polls @p fd for @p events for at most @p timeout_ms. */
+Wait
+poll_ready(int fd, short events, int timeout_ms)
 {
     struct pollfd pfd;
     pfd.fd = fd;
@@ -26,12 +34,21 @@ wait_ready(int fd, short events, int timeout_ms)
     for (;;) {
         const int rc = ::poll(&pfd, 1, timeout_ms);
         if (rc > 0)
-            return (pfd.revents & (events | POLLERR | POLLHUP)) != 0;
+            return (pfd.revents & (events | POLLERR | POLLHUP)) != 0
+                       ? Wait::kReady
+                       : Wait::kFailed;
         if (rc == 0)
-            return false; // timeout
+            return Wait::kTimedOut;
         if (errno != EINTR)
-            return false;
+            return Wait::kFailed;
     }
+}
+
+/** True when @p fd is ready for @p events before @p timeout_ms. */
+bool
+wait_ready(int fd, short events, int timeout_ms)
+{
+    return poll_ready(fd, events, timeout_ms) == Wait::kReady;
 }
 
 } // namespace
@@ -52,8 +69,11 @@ TcpConn::read_some(char *buffer, std::size_t size, int timeout_ms)
 {
     if (fd_ < 0 || size == 0)
         return -1;
-    if (!wait_ready(fd_, POLLIN, timeout_ms))
-        return -1;
+    switch (poll_ready(fd_, POLLIN, timeout_ms)) {
+      case Wait::kReady: break;
+      case Wait::kTimedOut: return kTimedOut;
+      case Wait::kFailed: return -1;
+    }
     for (;;) {
         const ssize_t n = ::recv(fd_, buffer, size, 0);
         if (n >= 0)

@@ -44,11 +44,14 @@ class TcpConn
     bool valid() const { return fd_ >= 0; }
     int fd() const { return fd_; }
 
+    /** read_some() result when nothing arrived within the deadline. */
+    static constexpr long kTimedOut = -2;
+
     /**
      * Reads up to @p size bytes into @p buffer, waiting at most
      * @p timeout_ms for the socket to become readable.
-     * @return bytes read (> 0), 0 on orderly peer close, -1 on
-     *         error/timeout.
+     * @return bytes read (> 0), 0 on orderly peer close, kTimedOut when
+     *         the deadline passed with nothing to read, -1 on error.
      */
     long read_some(char *buffer, std::size_t size, int timeout_ms);
 

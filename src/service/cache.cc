@@ -63,6 +63,27 @@ model_hash(const topology::RobotModel &model)
     return mix(h);
 }
 
+bool
+same_model(const topology::RobotModel &a, const topology::RobotModel &b)
+{
+    const auto same_bytes = [](const auto &x, const auto &y) {
+        return std::memcmp(&x, &y, sizeof(x)) == 0;
+    };
+    if (a.name() != b.name() || a.num_links() != b.num_links())
+        return false;
+    for (std::size_t i = 0; i < a.num_links(); ++i) {
+        const topology::Link &la = a.link(i);
+        const topology::Link &lb = b.link(i);
+        if (la.name != lb.name || la.parent != lb.parent ||
+            la.joint.type() != lb.joint.type() ||
+            !same_bytes(la.joint.axis(), lb.joint.axis()) ||
+            !same_bytes(la.x_tree, lb.x_tree) ||
+            !same_bytes(la.inertia, lb.inertia))
+            return false;
+    }
+    return true;
+}
+
 core::SweepContext &
 CacheEntry::context()
 {
@@ -72,7 +93,7 @@ CacheEntry::context()
     return *context_;
 }
 
-const std::string *
+CacheEntry::Body
 CacheEntry::find_body(const std::string &key) const
 {
     const auto it = bodies_.find(key);
@@ -81,13 +102,14 @@ CacheEntry::find_body(const std::string &key) const
         return nullptr;
     }
     ROBOSHAPE_OBS_COUNT("svc.cache_hits", 1);
-    return &it->second;
+    return it->second;
 }
 
-const std::string &
+CacheEntry::Body
 CacheEntry::store_body(const std::string &key, std::string body)
 {
-    return bodies_[key] = std::move(body);
+    return bodies_[key] =
+               std::make_shared<const std::string>(std::move(body));
 }
 
 std::shared_ptr<CacheEntry>
@@ -97,8 +119,15 @@ DesignCache::entry(std::uint64_t hash, sched::KernelKind kernel,
     const Key key{hash, kernel};
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
-    if (it != entries_.end())
-        return it->second;
+    if (it != entries_.end()) {
+        if (same_model(it->second->model(), model))
+            return it->second;
+        // Collision: serve this request from a private entry and leave
+        // the resident one in place.
+        ROBOSHAPE_OBS_COUNT("svc.cache_collisions", 1);
+        return std::make_shared<CacheEntry>(
+            std::make_shared<topology::RobotModel>(model), kernel);
+    }
     while (entries_.size() >= kMaxCacheEntries && !order_.empty()) {
         entries_.erase(order_.front());
         order_.pop_front();
@@ -117,6 +146,56 @@ DesignCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
+}
+
+CacheEntry::Body
+FrontCache::find(Route route, std::string_view request) const
+{
+    const Map &map = maps_[static_cast<std::size_t>(route)];
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = map.find(request);
+    return it == map.end() ? nullptr : it->second;
+}
+
+void
+FrontCache::insert(Route route, std::string_view request,
+                   CacheEntry::Body body)
+{
+    const std::size_t cost = request.size() + body->size();
+    if (cost > kFrontCacheBytes)
+        return;
+    Map &map = maps_[static_cast<std::size_t>(route)];
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (map.find(request) != map.end())
+        return; // a concurrent request admitted it first
+    while (bytes_ + cost > kFrontCacheBytes) {
+        const auto [old_route, old_key] = order_.front();
+        Map &old_map = maps_[static_cast<std::size_t>(old_route)];
+        const auto victim = old_map.find(*old_key);
+        bytes_ -= victim->first.size() + victim->second->size();
+        old_map.erase(victim);
+        order_.pop_front();
+        ROBOSHAPE_OBS_COUNT("svc.front_evictions", 1);
+    }
+    const auto it = map.emplace(std::string(request), std::move(body)).first;
+    order_.emplace_back(route, &it->first);
+    bytes_ += cost;
+    ROBOSHAPE_OBS_COUNT("svc.front_inserts", 1);
+    ROBOSHAPE_OBS_RECORD("svc.front_bytes", bytes_);
+}
+
+std::size_t
+FrontCache::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return order_.size();
+}
+
+std::size_t
+FrontCache::bytes() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return bytes_;
 }
 
 } // namespace service

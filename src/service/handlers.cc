@@ -497,6 +497,15 @@ handle_metrics()
     return text_response(200, obs::prometheus_exposition());
 }
 
+/** 200 with a cached or freshly rendered body and its cache verdict. */
+HttpResponse
+body_response(const std::string &body, bool hit)
+{
+    HttpResponse response = net::json_response(200, body);
+    response.set_header("X-Roboshape-Cache", hit ? "hit" : "miss");
+    return response;
+}
+
 /** GET /v1/statz: full registry snapshot with quantiles + provenance. */
 HttpResponse
 handle_statz(const DesignCache &cache)
@@ -722,10 +731,30 @@ Service::handle(const net::HttpRequest &request)
             if (!is_post)
                 return error_response(405,
                                       "use POST " + target);
-            const bool knobs = target != "/v1/sweep";
+            const bool is_sweep = target == "/v1/sweep";
+            const bool is_design = target == "/v1/design";
+            const FrontCache::Route route = is_sweep
+                                                ? FrontCache::Route::kSweep
+                                                : FrontCache::Route::kDesign;
+            if (is_sweep || is_design) {
+                // Front level: an exact repeat of a request whose body
+                // is cached is answered before any parsing.
+                CacheEntry::Body body;
+                {
+                    ROBOSHAPE_OBS_SPAN(front_span, "svc.front_lookup");
+                    body = front_.find(route, request.body);
+                }
+                if (body) {
+                    ROBOSHAPE_OBS_COUNT("svc.front_hits", 1);
+                    ROBOSHAPE_OBS_COUNT("svc.cache_hits", 1);
+                    return body_response(*body, true);
+                }
+                ROBOSHAPE_OBS_COUNT("svc.front_misses", 1);
+            }
+
             HttpResponse failure;
             const std::optional<ResolvedRequest> req =
-                resolve_request(request, knobs, failure);
+                resolve_request(request, !is_sweep, failure);
             if (!req)
                 return failure;
 
@@ -735,35 +764,32 @@ Service::handle(const net::HttpRequest &request)
             std::lock_guard<std::mutex> lock(entry->mutex());
             ROBOSHAPE_OBS_SPAN(cache_span, "svc.cache_entry");
 
-            if (target == "/v1/sweep") {
-                const std::string *body = entry->find_body("sweep");
+            // Body-level lookup.  A hit means this request was seen
+            // before, which is what admits it to the front level; a
+            // novel request (every request of a cold stream) adds no
+            // front bytes.
+            const auto serve_body = [&](const std::string &key,
+                                        const auto &render) {
+                CacheEntry::Body body = entry->find_body(key);
                 const bool hit = body != nullptr;
-                if (!body)
-                    body = &entry->store_body(
-                        "sweep",
-                        render_sweep_body(entry->context(), hash));
-                HttpResponse response = net::json_response(200, *body);
-                response.set_header("X-Roboshape-Cache",
-                                    hit ? "hit" : "miss");
-                return response;
-            }
+                if (hit)
+                    front_.insert(route, request.body, body);
+                else
+                    body = entry->store_body(key, render());
+                return body_response(*body, hit);
+            };
+            if (is_sweep)
+                return serve_body("sweep", [&] {
+                    return render_sweep_body(entry->context(), hash);
+                });
 
             const accel::AcceleratorParams params =
                 resolve_params(entry->context(), *req);
-            if (target == "/v1/design") {
-                const std::string key =
-                    "design/" + params.to_string();
-                const std::string *body = entry->find_body(key);
-                const bool hit = body != nullptr;
-                if (!body)
-                    body = &entry->store_body(
-                        key, render_design_body(entry->context(), params,
-                                                hash));
-                HttpResponse response = net::json_response(200, *body);
-                response.set_header("X-Roboshape-Cache",
-                                    hit ? "hit" : "miss");
-                return response;
-            }
+            if (is_design)
+                return serve_body("design/" + params.to_string(), [&] {
+                    return render_design_body(entry->context(), params,
+                                              hash);
+                });
 
             // /v1/report: a RunReport document over the compiled design
             // plus the live counter registry.  Counters change between

@@ -28,7 +28,9 @@
  * Handlers are pure with respect to the connection: they see one
  * HttpRequest and return one HttpResponse, so the whole surface is unit-
  * testable without sockets.  Compute-heavy endpoints share the process-
- * wide DesignCache; sweep schedule precompute runs as job graphs on the
+ * wide DesignCache behind a request-keyed FrontCache (service/cache.h),
+ * so an exact repeat of a /v1/design or /v1/sweep request is answered
+ * before its body is even parsed; sweep schedule precompute runs as job graphs on the
  * core::Executor, so concurrent requests multiplex onto the one
  * work-stealing pool.
  */
@@ -83,9 +85,11 @@ class Service
     net::HttpResponse handle(const net::HttpRequest &request);
 
     DesignCache &cache() { return cache_; }
+    FrontCache &front_cache() { return front_; }
 
   private:
     DesignCache cache_;
+    FrontCache front_;
 };
 
 /** {"error": message} body with the given status. */

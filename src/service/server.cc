@@ -209,11 +209,37 @@ Server::worker_loop()
     }
 }
 
+bool
+Server::await_request(net::TcpConn &conn, std::string &leftover)
+{
+    // An idle keep-alive client must not hold stop() for the whole
+    // request timeout: wait for the first byte in kPollMs slices and
+    // re-check stopping_ between them.  read_some polls anyway, so a
+    // ready socket costs no extra syscall.
+    const std::uint64_t deadline =
+        obs::wall_now_ns() +
+        static_cast<std::uint64_t>(options_.request_timeout_ms) * 1000000u;
+    char chunk[4096];
+    for (;;) {
+        const long n = conn.read_some(chunk, sizeof(chunk), kPollMs);
+        if (n > 0) {
+            leftover.append(chunk, static_cast<std::size_t>(n));
+            return true;
+        }
+        if (n != net::TcpConn::kTimedOut || stopping_ ||
+            obs::wall_now_ns() >= deadline)
+            return false; // closed, failed, draining, or idle too long
+    }
+}
+
 void
 Server::serve_connection(net::TcpConn conn, std::int64_t queue_wait_us)
 {
     std::string leftover;
     for (;;) {
+        // Between requests; a pipelined successor is already buffered.
+        if (leftover.empty() && !await_request(conn, leftover))
+            return;
         net::HttpRequest request;
         const net::ReadResult read = net::read_request(
             conn, request, leftover, options_.request_timeout_ms);

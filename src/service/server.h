@@ -16,7 +16,9 @@
  * Shutdown is graceful: stop() wakes everything, the accept thread quits
  * admitting, workers finish the requests already in flight (and drain
  * connections already admitted to the queue, answering with
- * "Connection: close") and then exit.  stop() returns only when all
+ * "Connection: close") and then exit.  A connection idle between
+ * requests is closed within one poll slice (50 ms) of stop(), so an idle
+ * keep-alive client never holds shutdown for the request timeout.  stop() returns only when all
  * threads are joined, so callers can assert on counters afterwards.
  *
  * Observability (all svc.*, docs/OBSERVABILITY.md): connections accepted,
@@ -98,6 +100,9 @@ class Server
     void accept_loop();
     void worker_loop();
     void serve_connection(net::TcpConn conn, std::int64_t queue_wait_us);
+    /** Waits for the first byte of the next request into @p leftover;
+     *  false when the peer closed, idled out, or the server is stopping. */
+    bool await_request(net::TcpConn &conn, std::string &leftover);
 
     Service &service_;
     ServerOptions options_;

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -377,6 +378,233 @@ TEST(Service, ReportEmitsRunReportSchema)
     EXPECT_TRUE(obs::validate_json(response.body));
     EXPECT_NE(response.body.find("roboshape.run_report/1"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// service: the request-keyed front level and model-level soundness.
+
+/** Current value of counter @p name (0 when never bumped). */
+std::uint64_t
+counter_value(const std::string &name)
+{
+    for (const auto &c : obs::registry().counters())
+        if (c.name == name)
+            return c.value;
+    return 0;
+}
+
+/** {"urdf": text} for library robot @p id, JSON-escaped. */
+std::string
+inline_urdf_body(topology::RobotId id, const char *extra = "")
+{
+    obs::JsonWriter w;
+    w.begin_object();
+    w.kv("urdf", topology::robot_urdf(id));
+    w.end_object();
+    std::string body = w.str();
+    body.insert(body.size() - 1, extra);
+    return body;
+}
+
+TEST(FrontCache, InlineUrdfGoesMissThenHitThenFrontHit)
+{
+    service::Service svc;
+    for (const auto &[target, extra] :
+         {std::pair<const char *, const char *>{"/v1/sweep", ""},
+          {"/v1/design", R"(, "max_pes_fwd": 3)"}}) {
+        const std::string body =
+            inline_urdf_body(topology::RobotId::kHyq, extra);
+        const std::size_t front_before = svc.front_cache().size();
+
+        const auto cold = svc.handle(post(target, body));
+        ASSERT_EQ(cold.status, 200) << target;
+        EXPECT_EQ(cold.header("X-Roboshape-Cache"), "miss") << target;
+        EXPECT_EQ(svc.front_cache().size(), front_before) << target;
+
+        // Second sight: a body-level hit, which admits the request.
+        const auto warm = svc.handle(post(target, body));
+        ASSERT_EQ(warm.status, 200) << target;
+        EXPECT_EQ(warm.header("X-Roboshape-Cache"), "hit") << target;
+        EXPECT_EQ(warm.body, cold.body) << target;
+        EXPECT_EQ(svc.front_cache().size(), front_before + 1) << target;
+
+        // Third: answered by the front level, before any parsing.
+        const std::uint64_t front_hits = counter_value("svc.front_hits");
+        const std::uint64_t misses = counter_value("svc.cache_misses");
+        const auto hot = svc.handle(post(target, body));
+        ASSERT_EQ(hot.status, 200) << target;
+        EXPECT_EQ(hot.header("X-Roboshape-Cache"), "hit") << target;
+        EXPECT_EQ(hot.body, cold.body) << target;
+        EXPECT_EQ(svc.front_cache().size(), front_before + 1) << target;
+#ifndef ROBOSHAPE_NO_OBS
+        EXPECT_EQ(counter_value("svc.front_hits"), front_hits + 1);
+        EXPECT_EQ(counter_value("svc.cache_misses"), misses);
+#else
+        (void)front_hits;
+        (void)misses;
+#endif
+    }
+}
+
+TEST(FrontCache, TracedFrontHitRecordsItsSpans)
+{
+    service::Service svc;
+    const auto request = post("/v1/design", R"({"robot": "iiwa"})");
+    ASSERT_EQ(svc.handle(request).status, 200);
+    ASSERT_EQ(svc.handle(request).status, 200); // admitted
+    constexpr std::uint64_t kId = 424242;
+    obs::set_trace_request_id(kId);
+    obs::begin_forced_wall_trace();
+    const auto hot = svc.handle(request);
+    const std::vector<obs::WallSpan> spans = obs::take_wall_trace_spans(kId);
+    obs::end_forced_wall_trace();
+    obs::set_trace_request_id(0);
+    EXPECT_EQ(hot.header("X-Roboshape-Cache"), "hit");
+#ifndef ROBOSHAPE_NO_OBS
+    const auto has = [&](const std::string &name) {
+        return std::any_of(spans.begin(), spans.end(),
+                           [&](const obs::WallSpan &span) {
+                               return name == span.name;
+                           });
+    };
+    EXPECT_TRUE(has("svc.handle"));
+    EXPECT_TRUE(has("svc.front_lookup"));
+    EXPECT_FALSE(has("svc.cache_entry")); // nothing below the front ran
+#else
+    (void)spans;
+#endif
+}
+
+TEST(FrontCache, SameBodyNeverCrossesEndpoints)
+{
+    service::Service svc;
+    const std::string body = R"({"robot": "iiwa"})";
+    std::string sweep, design;
+    for (int round = 0; round < 3; ++round) {
+        const auto s = svc.handle(post("/v1/sweep", body));
+        const auto d = svc.handle(post("/v1/design", body));
+        ASSERT_EQ(s.status, 200);
+        ASSERT_EQ(d.status, 200);
+        if (round == 0) {
+            sweep = s.body;
+            design = d.body;
+            EXPECT_NE(sweep, design);
+            EXPECT_NE(sweep.find("roboshape.sweep/1"), std::string::npos);
+            EXPECT_NE(design.find("roboshape.design/1"), std::string::npos);
+        }
+        EXPECT_EQ(s.body, sweep) << "round " << round;
+        EXPECT_EQ(d.body, design) << "round " << round;
+    }
+    // One front entry per endpoint, although the key bytes are equal.
+    EXPECT_EQ(svc.front_cache().size(), 2u);
+}
+
+TEST(FrontCache, ErrorsReportsAndValidatesAreNeverFrontServed)
+{
+    service::Service svc;
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_EQ(svc.handle(post("/v1/sweep",
+                                  R"({"urdf": "<robot name='x'><oops"})"))
+                      .status,
+                  422);
+        EXPECT_EQ(svc.handle(post("/v1/design", "{nope")).status, 400);
+        EXPECT_EQ(svc.handle(post("/v1/design", R"({"bogus": 1})")).status,
+                  400);
+        EXPECT_EQ(svc.handle(post("/v1/sweep", R"({"robot": "marvin"})"))
+                      .status,
+                  404);
+        const auto report =
+            svc.handle(post("/v1/report", R"({"robot": "iiwa"})"));
+        EXPECT_EQ(report.status, 200);
+        EXPECT_FALSE(report.header("X-Roboshape-Cache"));
+        EXPECT_EQ(
+            svc.handle(post("/v1/validate", R"({"robot": "iiwa"})")).status,
+            200);
+    }
+    EXPECT_EQ(svc.front_cache().size(), 0u);
+    EXPECT_EQ(svc.front_cache().bytes(), 0u);
+}
+
+TEST(FrontCache, FillingPastTheByteBudgetEvictsAndStillAnswers)
+{
+    service::Service svc;
+    const auto reference =
+        svc.handle(post("/v1/sweep", R"({"robot": "iiwa"})"));
+    ASSERT_EQ(reference.status, 200);
+
+    // JSON whitespace makes distinct request bytes with one meaning; each
+    // key is a quarter of the budget, so the fourth admission evicts.
+    const auto padded = [](std::size_t i) {
+        return R"({"robot": "iiwa")" +
+               std::string(service::kFrontCacheBytes / 4 + i, ' ') + "}";
+    };
+    constexpr std::size_t kBodies = 6;
+    const std::uint64_t evictions = counter_value("svc.front_evictions");
+    for (std::size_t i = 0; i < kBodies; ++i) {
+        const auto response = svc.handle(post("/v1/sweep", padded(i)));
+        ASSERT_EQ(response.status, 200) << i;
+        EXPECT_EQ(response.header("X-Roboshape-Cache"), "hit") << i;
+        EXPECT_EQ(response.body, reference.body) << i;
+        EXPECT_LE(svc.front_cache().bytes(), service::kFrontCacheBytes);
+    }
+    EXPECT_LT(svc.front_cache().size(), kBodies);
+#ifndef ROBOSHAPE_NO_OBS
+    EXPECT_EQ(counter_value("svc.front_evictions") - evictions,
+              kBodies - svc.front_cache().size());
+#else
+    (void)evictions;
+#endif
+    // Evicted and resident keys both still answer the same bytes.
+    for (std::size_t i : {std::size_t{0}, kBodies - 1}) {
+        const auto again = svc.handle(post("/v1/sweep", padded(i)));
+        ASSERT_EQ(again.status, 200) << i;
+        EXPECT_EQ(again.body, reference.body) << i;
+    }
+    EXPECT_LE(svc.front_cache().bytes(), service::kFrontCacheBytes);
+}
+
+TEST(DesignCache, HashCollisionGetsAPrivateEntry)
+{
+    const auto iiwa = topology::build_robot(topology::RobotId::kIiwa);
+    const auto hyq = topology::build_robot(topology::RobotId::kHyq);
+    EXPECT_TRUE(service::same_model(iiwa, topology::build_robot(
+                                              topology::RobotId::kIiwa)));
+    EXPECT_FALSE(service::same_model(iiwa, hyq));
+
+    // Force a collision: both models under one hash value.
+    constexpr std::uint64_t kHash = 0x5eed;
+    const auto kernel = sched::KernelKind::kDynamicsGradient;
+    service::DesignCache cache;
+    const std::uint64_t collisions = counter_value("svc.cache_collisions");
+
+    const auto first = cache.entry(kHash, kernel, iiwa);
+    {
+        std::lock_guard<std::mutex> lock(first->mutex());
+        first->store_body("sweep", "iiwa body");
+    }
+    const auto other = cache.entry(kHash, kernel, hyq);
+    ASSERT_NE(other, first);
+    EXPECT_EQ(other->model().name(), hyq.name());
+    {
+        std::lock_guard<std::mutex> lock(other->mutex());
+        EXPECT_EQ(other->find_body("sweep"), nullptr);
+        other->store_body("sweep", "hyq body");
+    }
+    EXPECT_EQ(cache.size(), 1u); // the colliding entry was not inserted
+
+    const auto again = cache.entry(kHash, kernel, iiwa);
+    EXPECT_EQ(again, first);
+    {
+        std::lock_guard<std::mutex> lock(again->mutex());
+        const auto body = again->find_body("sweep");
+        ASSERT_NE(body, nullptr);
+        EXPECT_EQ(*body, "iiwa body");
+    }
+#ifndef ROBOSHAPE_NO_OBS
+    EXPECT_EQ(counter_value("svc.cache_collisions"), collisions + 1);
+#else
+    (void)collisions;
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -758,6 +986,30 @@ TEST(ServerE2E, TracedRequestYieldsAChromeTrace)
     EXPECT_EQ(still->status, 200);
     server.stop();
     EXPECT_FALSE(obs::wall_trace_enabled());
+}
+
+TEST(ServerE2E, StopClosesIdleKeepAliveClientsPromptly)
+{
+    service::Service svc;
+    service::ServerOptions options;
+    options.port = 0;
+    options.workers = 2;
+    service::Server server(svc, options);
+    ASSERT_TRUE(server.start()) << server.error();
+
+    // One client idle after a reply, one that never sent a byte.
+    net::TcpConn served = net::dial(server.port(), 5000);
+    ASSERT_TRUE(served.valid());
+    std::string leftover;
+    ASSERT_TRUE(net::roundtrip(served, get("/healthz"), leftover, 5000));
+    net::TcpConn silent = net::dial(server.port(), 5000);
+    ASSERT_TRUE(silent.valid());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const std::uint64_t t0 = obs::wall_now_ns();
+    server.stop();
+    EXPECT_LT(obs::wall_now_ns() - t0, 1000000000u);
+    EXPECT_FALSE(server.running());
 }
 
 TEST(ServerE2E, GracefulDrainFinishesInFlightAndFlushesTheAccessLog)

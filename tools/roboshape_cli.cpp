@@ -634,6 +634,15 @@ cmd_serve(const CliOptions &opt)
     sopt.access_log_path = opt.access_log_path;
     sopt.slow_ms = opt.slow_ms;
     service::Server server(service, sopt);
+    // Dispositions go in before start(): once the daemon answers, a
+    // SIGTERM must already mean "drain", never the default kill.
+    std::signal(SIGINT, on_shutdown_signal);
+    std::signal(SIGTERM, on_shutdown_signal);
+    std::signal(SIGUSR1, on_dump_signal);
+    // Socket writes already pass MSG_NOSIGNAL, but stdout/stderr may be
+    // pipes owned by a supervisor that hangs up first; a dead log pipe
+    // must not kill the daemon mid-drain.
+    std::signal(SIGPIPE, SIG_IGN);
     if (!server.start()) {
         std::fprintf(stderr, "error: cannot start roboshaped: %s\n",
                      server.error().c_str());
@@ -645,13 +654,6 @@ cmd_serve(const CliOptions &opt)
                 opt.queue);
     std::fflush(stdout);
 
-    std::signal(SIGINT, on_shutdown_signal);
-    std::signal(SIGTERM, on_shutdown_signal);
-    std::signal(SIGUSR1, on_dump_signal);
-    // Socket writes already pass MSG_NOSIGNAL, but stdout/stderr may be
-    // pipes owned by a supervisor that hangs up first; a dead log pipe
-    // must not kill the daemon mid-drain.
-    std::signal(SIGPIPE, SIG_IGN);
     while (!g_shutdown) {
         if (g_dump) {
             // SIGUSR1: post-mortem-without-the-mortem.  The handler only
